@@ -53,9 +53,9 @@ pub fn algorithms() -> String {
 }
 
 /// `stats`: structural summary of one dataset, including the memory and
-/// locality footprint the reordering work targets and the per-tier
-/// bytes/edge figures (standard CSR vs. the compact delta-varint
-/// representation the `compact` serving tier uses).
+/// locality footprint the reordering work targets and the bytes/edge of
+/// both encodings (the resident CSR vs. the compact delta-varint encoding
+/// the on-disk dataset image uses).
 pub fn stats(dataset: &str) -> Result<String, String> {
     let g = reldata::load_dataset(dataset).ok_or_else(|| format!("unknown dataset {dataset:?}"))?;
     let s = relgraph::GraphStats::compute(&g);

@@ -1,10 +1,8 @@
 //! The seven paper algorithms as [`RelevanceAlgorithm`] implementations.
 //!
-//! This is where the body of the old `runner::run` mega-dispatcher lives
-//! now: one small type per algorithm, each owning its slice of the former
-//! `match`. The registry registers all seven at startup
-//! ([`crate::registry::AlgorithmRegistry::global`]); nothing else in the
-//! workspace dispatches on the `Algorithm` enum.
+//! One small type per algorithm. The registry registers all seven at
+//! startup ([`crate::registry::AlgorithmRegistry::global`]); nothing else
+//! in the workspace dispatches on the `Algorithm` enum.
 
 use crate::algorithm::{ParamSpec, RelevanceAlgorithm};
 use crate::cyclerank::cyclerank;
@@ -176,43 +174,6 @@ fn execute_stationary_warm(
 
 fn require_reference(reference: Option<NodeId>) -> Result<NodeId, AlgoError> {
     reference.ok_or(AlgoError::MissingReference)
-}
-
-/// Runs a kernel-family algorithm directly on a graph **view**, whatever
-/// representation backs it — the tier-agnostic entry the engine's
-/// compact-tier serving path uses, since the [`RelevanceAlgorithm`] trait
-/// itself is typed over the standard CSR. `forward` must be the graph's
-/// forward orientation; the CheiRank variants flip it internally, exactly
-/// as the registered algorithms do.
-///
-/// Only the algorithms for which [`crate::runner::Algorithm::is_kernel_family`] is true
-/// are servable this way; anything else returns
-/// [`AlgoError::InvalidParameter`]. Note that the Monte Carlo solver needs
-/// CSR adjacency slices and fails with [`AlgoError::UnsupportedTier`] on a
-/// compact-backed view — callers route those runs to the CSR path.
-pub fn execute_kernel_family(
-    algorithm: crate::runner::Algorithm,
-    forward: relgraph::GraphView<'_>,
-    params: &AlgorithmParams,
-    reference: Option<NodeId>,
-) -> Result<RelevanceOutput, AlgoError> {
-    use crate::runner::Algorithm;
-    validate_damping(params)?;
-    let id = algorithm.id();
-    match algorithm {
-        Algorithm::PageRank => execute_stationary(id, forward, params, None),
-        Algorithm::PersonalizedPageRank => {
-            execute_stationary(id, forward, params, Some(require_reference(reference)?))
-        }
-        Algorithm::CheiRank => execute_stationary(id, forward.flipped(), params, None),
-        Algorithm::PersonalizedCheiRank => {
-            execute_stationary(id, forward.flipped(), params, Some(require_reference(reference)?))
-        }
-        other => Err(AlgoError::InvalidParameter {
-            name: "algorithm",
-            message: format!("{} has no view-level execution path", other.id()),
-        }),
-    }
 }
 
 /// The batched personalized solve shared by PPR and Pers. CheiRank: one

@@ -713,13 +713,59 @@ mod tests {
             assert_eq!(result.output.ranking.len(), g.node_count());
             assert_eq!(result.scores().is_some(), algo.produces_scores());
             assert_eq!(result.top_entries().len(), 3);
+            // Global algorithms ignore the reference.
+            if !algo.is_personalized() {
+                let global = Query::on(&g).algorithm(algo).run().unwrap();
+                assert_eq!(global.output.ranking, result.output.ranking, "{algo}");
+            }
         }
     }
 
     #[test]
     fn personalized_without_reference_fails_fast() {
-        let result = Query::on(sample()).algorithm("cyclerank").run();
-        assert!(matches!(result, Err(QueryError::MissingReference(id)) if id == "cyclerank"));
+        for algo in Algorithm::ALL.into_iter().filter(|a| a.is_personalized()) {
+            let result = Query::on(sample()).algorithm(algo).run();
+            assert!(
+                matches!(result, Err(QueryError::MissingReference(ref id)) if id == algo.id()),
+                "{algo}"
+            );
+        }
+        // An out-of-range node id fails in the algorithm, not silently.
+        assert!(matches!(
+            Query::on(sample()).algorithm("cyclerank").reference(NodeId::new(99)).run(),
+            Err(QueryError::Algorithm(AlgoError::InvalidReference { .. }))
+        ));
+    }
+
+    #[test]
+    fn solvers_agree_on_exact_and_approximate() {
+        let g = Arc::new(sample());
+        let r = NodeId::new(0);
+        let ppr = |solver| {
+            let params = AlgorithmParams::new(Algorithm::PersonalizedPageRank).with_solver(solver);
+            Query::on(&g).params(params).reference(r).run().unwrap().output
+        };
+        let exact = ppr(Solver::default());
+        let exact_scores = exact.scores.as_ref().unwrap();
+        for solver in [Solver::Power, Solver::GaussSeidel, Solver::Push, Solver::MonteCarlo] {
+            let out = ppr(solver);
+            let s = out.scores.as_ref().unwrap();
+            // Exact solvers match tightly; approximate ones loosely.
+            let tol = match solver {
+                Solver::Power | Solver::GaussSeidel => 1e-7,
+                _ => 0.02,
+            };
+            for u in g.nodes() {
+                assert!((s.get(u) - exact_scores.get(u)).abs() < tol, "{solver:?} node {u:?}");
+            }
+        }
+        // The approximate solvers fall back to power iteration for global
+        // PageRank: convergence info present.
+        for solver in [Solver::Push, Solver::MonteCarlo] {
+            let params = AlgorithmParams::new(Algorithm::PageRank).with_solver(solver);
+            let out = Query::on(&g).params(params).run().unwrap().output;
+            assert!(out.convergence.is_some(), "{solver:?}");
+        }
     }
 
     #[test]

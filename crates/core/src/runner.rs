@@ -1,17 +1,13 @@
-//! Legacy uniform dispatch layer (deprecated) and the shared parameter /
-//! output types.
+//! The shared parameter / output types.
 //!
-//! The platform's invocation API now lives in three sibling modules:
+//! The platform's invocation API lives in three sibling modules:
 //! [`crate::algorithm`] (the open `RelevanceAlgorithm` trait),
 //! [`crate::registry`] (the id → implementation table), and
 //! [`crate::query`] (the fluent `Query` front door). This module keeps the
 //! serializable types the task JSON carries — [`Algorithm`], [`Solver`],
-//! [`AlgorithmParams`], [`RelevanceOutput`] — plus [`run`], a deprecated
-//! shim that delegates to the registry so pre-redesign callers keep
-//! compiling.
+//! [`AlgorithmParams`], [`RelevanceOutput`].
 
 use crate::cyclerank::CycleRankConfig;
-use crate::error::AlgoError;
 use crate::pagerank::{Convergence, PageRankConfig};
 use crate::result::{RankedList, ScoreVector};
 use crate::scoring::ScoringFunction;
@@ -74,23 +70,6 @@ impl Algorithm {
     /// produce only a ranking, as the paper notes).
     pub fn produces_scores(self) -> bool {
         !matches!(self, Algorithm::TwoDRank | Algorithm::PersonalizedTwoDRank)
-    }
-
-    /// True if the algorithm is a pure parameterization of the sweep
-    /// kernel — one [`relgraph::GraphView`] orientation plus a teleport
-    /// vector — and can therefore run on **any** graph representation
-    /// through [`crate::execute_kernel_family`] (the engine's compact-tier
-    /// serving path). The 2DRank variants combine two solves with
-    /// CSR-resident rank bookkeeping and CycleRank is a cycle enumeration;
-    /// those stay on the standard CSR.
-    pub fn is_kernel_family(self) -> bool {
-        matches!(
-            self,
-            Algorithm::PageRank
-                | Algorithm::PersonalizedPageRank
-                | Algorithm::CheiRank
-                | Algorithm::PersonalizedCheiRank
-        )
     }
 
     /// Display name matching the paper's tables.
@@ -453,72 +432,10 @@ impl RelevanceOutput {
     }
 }
 
-/// Runs `params.algorithm` on `g`, personalized at `reference` when the
-/// algorithm requires it.
-///
-/// Returns [`AlgoError::MissingReference`] if a personalized algorithm is
-/// invoked without a reference node; global algorithms ignore `reference`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use relcore::Query (fluent, registry-backed, supports custom algorithms) \
-            or AlgorithmRegistry::global().get(id) directly"
-)]
-pub fn run(
-    g: &DirectedGraph,
-    params: &AlgorithmParams,
-    reference: Option<NodeId>,
-) -> Result<RelevanceOutput, AlgoError> {
-    let algo = crate::registry::AlgorithmRegistry::global()
-        .get(params.algorithm.id())
-        .expect("built-in algorithms are always registered");
-    let refn = if algo.is_personalized() {
-        Some(reference.ok_or(AlgoError::MissingReference)?)
-    } else {
-        None
-    };
-    algo.validate(params)?;
-    algo.execute(g, params, refn)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use relgraph::GraphBuilder;
-
-    fn sample() -> DirectedGraph {
-        GraphBuilder::from_edge_indices([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2), (3, 0)])
-    }
-
-    #[test]
-    fn run_all_algorithms() {
-        let g = sample();
-        for algo in Algorithm::ALL {
-            let params = AlgorithmParams::new(algo);
-            let out = run(&g, &params, Some(NodeId::new(0))).unwrap();
-            assert_eq!(out.algorithm, algo.id());
-            assert_eq!(out.ranking.len(), g.node_count());
-            assert_eq!(out.scores.is_some(), algo.produces_scores());
-        }
-    }
-
-    #[test]
-    fn personalized_without_reference_fails() {
-        let g = sample();
-        for algo in Algorithm::ALL.into_iter().filter(|a| a.is_personalized()) {
-            let params = AlgorithmParams::new(algo);
-            assert!(matches!(run(&g, &params, None), Err(AlgoError::MissingReference)), "{algo}");
-        }
-    }
-
-    #[test]
-    fn global_algorithms_ignore_reference() {
-        let g = sample();
-        let params = AlgorithmParams::new(Algorithm::PageRank);
-        let a = run(&g, &params, None).unwrap();
-        let b = run(&g, &params, Some(NodeId::new(2))).unwrap();
-        assert_eq!(a.ranking, b.ranking);
-    }
 
     #[test]
     fn params_serde_roundtrip() {
@@ -618,61 +535,17 @@ mod tests {
     }
 
     #[test]
-    fn cyclerank_output_has_cycle_count() {
-        let g = sample();
-        let out =
-            run(&g, &AlgorithmParams::new(Algorithm::CycleRank), Some(NodeId::new(0))).unwrap();
-        assert!(out.cycles_found.unwrap() > 0);
-    }
-
-    #[test]
     fn top_k_labeled_for_ranking_only() {
         let mut b = GraphBuilder::new();
         b.add_labeled_edge("A", "B");
         b.add_labeled_edge("B", "A");
         let g = b.build();
-        let out = run(&g, &AlgorithmParams::new(Algorithm::TwoDRank), None).unwrap();
+        let params = AlgorithmParams::new(Algorithm::TwoDRank);
+        let algo = crate::AlgorithmRegistry::global().get(params.algorithm.id()).unwrap();
+        let out = algo.execute(&g, &params, None).unwrap();
         let top = out.top_k_labeled(&g, 2);
         assert_eq!(top.len(), 2);
         assert!(top.iter().all(|(_, s)| *s == 0.0));
-    }
-
-    #[test]
-    fn solvers_agree_on_exact_and_approximate() {
-        let g = sample();
-        let r = NodeId::new(0);
-        let exact =
-            run(&g, &AlgorithmParams::new(Algorithm::PersonalizedPageRank), Some(r)).unwrap();
-        let exact_scores = exact.scores.as_ref().unwrap();
-        for solver in [Solver::Power, Solver::GaussSeidel, Solver::Push, Solver::MonteCarlo] {
-            let params = AlgorithmParams::new(Algorithm::PersonalizedPageRank).with_solver(solver);
-            let out = run(&g, &params, Some(r)).unwrap();
-            let s = out.scores.as_ref().unwrap();
-            // Exact solvers match tightly; approximate ones loosely.
-            let tol = match solver {
-                Solver::Power | Solver::GaussSeidel => 1e-7,
-                _ => 0.02,
-            };
-            for u in g.nodes() {
-                assert!(
-                    (s.get(u) - exact_scores.get(u)).abs() < tol,
-                    "{solver:?} node {u:?}: {} vs {}",
-                    s.get(u),
-                    exact_scores.get(u)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn approximate_solvers_fall_back_for_global_pagerank() {
-        let g = sample();
-        for solver in [Solver::Push, Solver::MonteCarlo] {
-            let params = AlgorithmParams::new(Algorithm::PageRank).with_solver(solver);
-            let out = run(&g, &params, None).unwrap();
-            // Fallback to power iteration: convergence info present.
-            assert!(out.convergence.is_some(), "{solver:?}");
-        }
     }
 
     #[test]
@@ -694,15 +567,5 @@ mod tests {
         }
         assert_eq!(Solver::Push.scheme(), None);
         assert_eq!(Solver::MonteCarlo.scheme(), None);
-    }
-
-    #[test]
-    fn invalid_reference_propagates() {
-        let g = sample();
-        let params = AlgorithmParams::new(Algorithm::CycleRank);
-        assert!(matches!(
-            run(&g, &params, Some(NodeId::new(99))),
-            Err(AlgoError::InvalidReference { .. })
-        ));
     }
 }

@@ -1306,13 +1306,19 @@ mod tests {
     fn schemes_agree_on_random_graph() {
         let g = random_graph(300, 2500, 7);
         let (power, pc) = solve(&g, Scheme::Power, 1);
-        for scheme in [Scheme::GaussSeidel, Scheme::Parallel] {
-            let (s, c) = solve(&g, scheme, 3);
+        for (scheme, threads) in [
+            (Scheme::GaussSeidel, 1),
+            (Scheme::Parallel, 1),
+            (Scheme::Parallel, 2),
+            (Scheme::Parallel, 3),
+            (Scheme::Parallel, 4),
+        ] {
+            let (s, c) = solve(&g, scheme, threads);
             assert!(pc.converged && c.converged, "{scheme}");
             for u in g.nodes() {
                 assert!(
                     (power.get(u) - s.get(u)).abs() < 1e-9,
-                    "{scheme} node {u:?}: {} vs {}",
+                    "{scheme} x{threads} node {u:?}: {} vs {}",
                     power.get(u),
                     s.get(u)
                 );
@@ -1508,14 +1514,22 @@ mod tests {
     fn personalized_teleport_localizes() {
         let g = GraphBuilder::from_edge_indices([(0, 1), (1, 0), (1, 2), (2, 1), (3, 2)]);
         let teleport = TeleportVector::single(4, relgraph::NodeId::new(0)).unwrap();
+        let kernel = SweepKernel::new(g.view()).unwrap();
+        let cfg = |scheme| {
+            SolverConfig { tolerance: 1e-12, ..SolverConfig::default() }
+                .with_scheme(scheme)
+                .with_threads(2)
+        };
+        let power = kernel.solve(&cfg(Scheme::Power), &teleport).unwrap().scores;
         for scheme in Scheme::ALL {
-            let out = SweepKernel::new(g.view())
-                .unwrap()
-                .solve(&SolverConfig::default().with_scheme(scheme), &teleport)
-                .unwrap();
+            let out = kernel.solve(&cfg(scheme), &teleport).unwrap();
             // Node 3 is unreachable from the seed.
             assert!(out.scores.get(relgraph::NodeId::new(3)) < 1e-12, "{scheme}");
             assert!(out.scores.get(relgraph::NodeId::new(0)) > 0.0, "{scheme}");
+            // Every scheme reaches the power-iteration fixed point.
+            for u in g.nodes() {
+                assert!((out.scores.get(u) - power.get(u)).abs() < 1e-9, "{scheme} node {u:?}");
+            }
         }
     }
 

@@ -160,9 +160,11 @@ proptest! {
     }
 
     /// Registry/enum parity, part 3 of 3 (see the plain tests below for
-    /// parts 1–2): `Query` with default parameters matches the legacy
-    /// `run()` entry point **bit-for-bit** — identical rankings, identical
-    /// score vectors down to the last f64 bit — for every algorithm.
+    /// parts 1–2): `Query` with default parameters matches a direct
+    /// registry call (`get` + `validate` + `execute`, the reference passed
+    /// only to personalized algorithms) **bit-for-bit** — identical
+    /// rankings, identical score vectors down to the last f64 bit — for
+    /// every algorithm.
     #[test]
     fn query_matches_legacy_run_bit_for_bit(edges in edge_list(15, 70), r in 0u32..15) {
         let g = GraphBuilder::from_edge_indices(edges);
@@ -170,8 +172,10 @@ proptest! {
         let g = Arc::new(g);
         for algo in Algorithm::ALL {
             let params = AlgorithmParams::new(algo);
-            #[allow(deprecated)]
-            let legacy = relcore::runner::run(&g, &params, Some(r)).unwrap();
+            let registered = AlgorithmRegistry::global().get(algo.id()).unwrap();
+            registered.validate(&params).unwrap();
+            let reference = registered.is_personalized().then_some(r);
+            let legacy = registered.execute(&g, &params, reference).unwrap();
             let query = Query::on(&g).algorithm(algo).reference(r).run().unwrap();
             prop_assert_eq!(&query.output.algorithm, &legacy.algorithm);
             prop_assert_eq!(&query.output.ranking, &legacy.ranking,

@@ -1,19 +1,20 @@
 //! Result and log storage — the Datastore component of Fig. 1.
 //!
 //! Workers write results and per-task logs here; the Status/API side reads
-//! them. Two implementations:
+//! them. [`MemoryStore`] is the process-local implementation the scheduler,
+//! server and CLI use.
 //!
-//! * [`MemoryStore`] — process-local, used by tests and the CLI;
-//! * [`FileStore`] — one JSON file per result and one `.log` per task
-//!   under a root directory, matching the container-volume layout a
-//!   deployed instance would use.
+//! Datasets are durable only through relstore: a scheduler built with a
+//! data dir ([`crate::scheduler::SchedulerBuilder::data_dir`]) snapshots
+//! every upload and journals every mutation ([`crate::persist`]). The
+//! scheduler never writes datasets here; the `*_dataset` methods remain a
+//! plain graph codec for callers that want a portable JSON copy.
 
 use crate::error::EngineError;
 use crate::executor::TaskResult;
 use crate::task::TaskId;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Storage interface for task results, logs and uploaded datasets.
@@ -33,18 +34,18 @@ pub trait Datastore: Send + Sync {
     /// Lists ids of all stored results.
     fn list_results(&self) -> Result<Vec<TaskId>, EngineError>;
 
-    /// Persists an uploaded dataset (the Datastore "is responsible for
-    /// storing and managing datasets", Fig. 1).
+    /// Stores a portable JSON copy of a dataset. The scheduler never calls
+    /// this: uploads are durable only through relstore.
     fn put_dataset(&self, id: &str, graph: &relgraph::DirectedGraph) -> Result<(), EngineError>;
 
-    /// Loads a persisted dataset.
+    /// Loads a dataset stored with [`Datastore::put_dataset`].
     fn get_dataset(&self, id: &str) -> Result<Option<relgraph::DirectedGraph>, EngineError>;
 
-    /// Lists ids of persisted datasets.
+    /// Lists ids of datasets stored with [`Datastore::put_dataset`].
     fn list_datasets(&self) -> Result<Vec<String>, EngineError>;
 }
 
-/// Portable JSON encoding of a graph for dataset persistence: node count,
+/// Portable JSON encoding of a graph for the dataset methods: node count,
 /// sparse label map, and `[source, target, weight?]` edge triples.
 mod graph_codec {
     use super::EngineError;
@@ -155,120 +156,6 @@ impl Datastore for MemoryStore {
     }
 }
 
-/// File-backed datastore: `<root>/results/<id>.json`, `<root>/logs/<id>.log`,
-/// `<root>/datasets/<id>.json`.
-#[derive(Debug, Clone)]
-pub struct FileStore {
-    root: PathBuf,
-}
-
-impl FileStore {
-    /// Opens (creating directories as needed) a store rooted at `root`.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, EngineError> {
-        let root = root.into();
-        for sub in ["results", "logs", "datasets"] {
-            std::fs::create_dir_all(root.join(sub))
-                .map_err(|e| EngineError::Storage(format!("create {sub}: {e}")))?;
-        }
-        Ok(FileStore { root })
-    }
-
-    fn result_path(&self, id: &TaskId) -> PathBuf {
-        self.root.join("results").join(format!("{}.json", sanitize(id.as_str())))
-    }
-
-    fn log_path(&self, id: &TaskId) -> PathBuf {
-        self.root.join("logs").join(format!("{}.log", sanitize(id.as_str())))
-    }
-
-    fn dataset_path(&self, id: &str) -> PathBuf {
-        self.root.join("datasets").join(format!("{}.json", sanitize(id)))
-    }
-}
-
-/// Restricts ids to filesystem-safe characters.
-fn sanitize(id: &str) -> String {
-    id.chars().map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' }).collect()
-}
-
-impl Datastore for FileStore {
-    fn put_result(&self, result: &TaskResult) -> Result<(), EngineError> {
-        let json = serde_json::to_string_pretty(result)
-            .map_err(|e| EngineError::Storage(format!("serialize: {e}")))?;
-        std::fs::write(self.result_path(&result.task_id), json)
-            .map_err(|e| EngineError::Storage(format!("write result: {e}")))
-    }
-
-    fn get_result(&self, id: &TaskId) -> Result<Option<TaskResult>, EngineError> {
-        let path = self.result_path(id);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let json = std::fs::read_to_string(&path)
-            .map_err(|e| EngineError::Storage(format!("read result: {e}")))?;
-        serde_json::from_str(&json)
-            .map(Some)
-            .map_err(|e| EngineError::Storage(format!("parse result: {e}")))
-    }
-
-    fn append_log(&self, id: &TaskId, line: &str) -> Result<(), EngineError> {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.log_path(id))
-            .map_err(|e| EngineError::Storage(format!("open log: {e}")))?;
-        writeln!(f, "{line}").map_err(|e| EngineError::Storage(format!("write log: {e}")))
-    }
-
-    fn get_log(&self, id: &TaskId) -> Result<String, EngineError> {
-        let path = self.log_path(id);
-        if !path.exists() {
-            return Ok(String::new());
-        }
-        std::fs::read_to_string(&path).map_err(|e| EngineError::Storage(format!("read log: {e}")))
-    }
-
-    fn list_results(&self) -> Result<Vec<TaskId>, EngineError> {
-        Ok(list_json_ids(&self.root.join("results"))?.into_iter().map(TaskId).collect())
-    }
-
-    fn put_dataset(&self, id: &str, graph: &relgraph::DirectedGraph) -> Result<(), EngineError> {
-        let enc = graph_codec::encode(graph)?;
-        std::fs::write(self.dataset_path(id), enc)
-            .map_err(|e| EngineError::Storage(format!("write dataset: {e}")))
-    }
-
-    fn get_dataset(&self, id: &str) -> Result<Option<relgraph::DirectedGraph>, EngineError> {
-        let path = self.dataset_path(id);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let enc = std::fs::read_to_string(&path)
-            .map_err(|e| EngineError::Storage(format!("read dataset: {e}")))?;
-        graph_codec::decode(&enc).map(Some)
-    }
-
-    fn list_datasets(&self) -> Result<Vec<String>, EngineError> {
-        list_json_ids(&self.root.join("datasets"))
-    }
-}
-
-/// Lists the `<id>.json` stems of a directory.
-fn list_json_ids(dir: &std::path::Path) -> Result<Vec<String>, EngineError> {
-    let mut out = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| EngineError::Storage(format!("list: {e}")))?;
-    for e in entries {
-        let e = e.map_err(|e| EngineError::Storage(e.to_string()))?;
-        if let Some(name) = e.file_name().to_str() {
-            if let Some(id) = name.strip_suffix(".json") {
-                out.push(id.to_string());
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,7 +179,9 @@ mod tests {
         }
     }
 
-    fn exercise(store: &dyn Datastore) {
+    #[test]
+    fn memory_store_roundtrip() {
+        let store = MemoryStore::new();
         let id = TaskId::fresh();
         assert!(store.get_result(&id).unwrap().is_none());
         assert_eq!(store.get_log(&id).unwrap(), "");
@@ -311,7 +200,7 @@ mod tests {
         let ids = store.list_results().unwrap();
         assert!(ids.contains(&id));
 
-        // Dataset persistence.
+        // Dataset codec round trip.
         assert!(store.get_dataset("mine").unwrap().is_none());
         let mut b = relgraph::GraphBuilder::new();
         let a = b.add_labeled_node("a");
@@ -324,38 +213,6 @@ mod tests {
         assert_eq!(back.edge_weight(a, c), Some(2.5));
         assert_eq!(back.node_by_label("b"), Some(c));
         assert!(store.list_datasets().unwrap().contains(&"mine".to_string()));
-    }
-
-    #[test]
-    fn memory_store_roundtrip() {
-        exercise(&MemoryStore::new());
-    }
-
-    #[test]
-    fn file_store_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("relengine-test-{}", crate::id::new_uuid()));
-        let store = FileStore::open(&dir).unwrap();
-        exercise(&store);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_store_persists_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("relengine-test-{}", crate::id::new_uuid()));
-        let id = TaskId::fresh();
-        {
-            let store = FileStore::open(&dir).unwrap();
-            store.put_result(&sample_result(&id)).unwrap();
-        }
-        let store = FileStore::open(&dir).unwrap();
-        assert!(store.get_result(&id).unwrap().is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sanitize_rejects_path_tricks() {
-        assert_eq!(sanitize("../../etc/passwd"), "______etc_passwd");
-        assert_eq!(sanitize("abc-123"), "abc-123");
     }
 
     #[test]

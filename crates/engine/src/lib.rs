@@ -14,8 +14,9 @@
 //!    component polls for progress"* → worker threads over crossbeam
 //!    channels, [`status::StatusBoard`];
 //! 4. *"results and logs are written to the datastore"* →
-//!    [`datastore::Datastore`] with in-memory and file-backed
-//!    implementations;
+//!    [`datastore::Datastore`] ([`datastore::MemoryStore`]); uploaded
+//!    datasets are durable through relstore ([`persist`]) when the
+//!    scheduler has a data dir;
 //! 5. *"the API returns the results of the completed task"* →
 //!    [`scheduler::Scheduler::wait`] / [`datastore::Datastore::get_result`]
 //!    (served over HTTP by the `relserver` crate).
@@ -49,11 +50,10 @@ pub mod task;
 
 pub use builder::TaskBuilder;
 pub use cache::{CacheStats, ResultCache};
-pub use datastore::{Datastore, FileStore, MemoryStore};
+pub use datastore::{Datastore, MemoryStore};
 pub use error::EngineError;
 pub use executor::{
-    ArenaPoolStats, DatasetTierStats, DegradedDataset, Executor, GraphTier, TaskResult,
-    DEFAULT_DEGRADED_BACKOFF,
+    ArenaPoolStats, DegradedDataset, Executor, TaskResult, DEFAULT_DEGRADED_BACKOFF,
 };
 pub use mutation::{EdgeOp, EdgeSpec, MutationOutcome};
 pub use persist::{GraphPersistence, RecoveredGraph};
@@ -65,7 +65,7 @@ pub use task::{BatchSpec, QuerySet, TaskId, TaskSpec};
 pub mod prelude {
     pub use crate::builder::TaskBuilder;
     pub use crate::cache::CacheStats;
-    pub use crate::datastore::{Datastore, FileStore, MemoryStore};
+    pub use crate::datastore::{Datastore, MemoryStore};
     pub use crate::executor::{Executor, TaskResult};
     pub use crate::scheduler::Scheduler;
     pub use crate::status::{StatusBoard, TaskRecord, TaskState};

@@ -75,8 +75,9 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Starts the worker pool, restoring any datasets persisted in the
-    /// datastore into the executor's registry.
+    /// Starts the worker pool. With a data dir (or an attached
+    /// persistence layer), every dataset in the durable store is recovered
+    /// into the executor first; without one the executor starts empty.
     ///
     /// # Panics
     /// Panics when a configured data dir cannot be opened or recovered
@@ -101,20 +102,7 @@ impl SchedulerBuilder {
             executor.attach_persistence(Arc::new(GraphPersistence::open(dir)?));
         }
         let executor = Arc::new(executor);
-        // Durable-store recovery first: a dataset rebuilt from snapshot +
-        // journal carries real version history and must win over the
-        // datastore's plain JSON copy (restored below as DatasetExists
-        // no-ops).
         executor.recover_persisted()?;
-        #[allow(clippy::redundant_clone)]
-        let rx = rx.clone();
-        if let Ok(ids) = self.store.list_datasets() {
-            for id in ids {
-                if let Ok(Some(g)) = self.store.get_dataset(&id) {
-                    let _ = executor.register_graph(&id, g);
-                }
-            }
-        }
         let board = StatusBoard::new();
         let mut handles = Vec::with_capacity(self.workers);
         for worker_id in 0..self.workers {
@@ -261,16 +249,17 @@ impl Scheduler {
         }
     }
 
-    /// Registers a user-uploaded graph so tasks can reference it by id.
+    /// Registers a user-uploaded graph so tasks can reference it by id
+    /// (see [`Executor::register_graph`]).
     ///
-    /// The graph is also persisted to the datastore, so a scheduler built
-    /// over the same store later (e.g. after a restart) restores it.
+    /// With a data dir the upload is snapshotted to relstore before it
+    /// becomes visible, so a scheduler rebuilt over the same directory
+    /// restores it. Without one the upload lives only in this executor.
     pub fn register_dataset(
         &self,
         id: &str,
         graph: relgraph::DirectedGraph,
     ) -> Result<(), EngineError> {
-        self.store.put_dataset(id, &graph)?;
         self.executor.register_graph(id, graph)
     }
 
@@ -325,23 +314,14 @@ impl Scheduler {
 
     /// Applies a batch of edge mutations to a dataset (see
     /// [`Executor::mutate_dataset`]): atomic, version-bumping, and
-    /// cache-invalidating. Mutated *uploads* are re-persisted to the
-    /// datastore so a restart restores the post-mutation graph; registry
-    /// datasets mutate in-memory only (their generators stay pristine).
+    /// cache-invalidating. With a data dir the batch is journaled (fsynced)
+    /// to relstore before it commits, so a restart replays it.
     pub fn mutate_dataset(
         &self,
         id: &str,
         ops: &[crate::mutation::EdgeOp],
     ) -> Result<crate::mutation::MutationOutcome, EngineError> {
-        let outcome = self.executor.mutate_dataset(id, ops)?;
-        if outcome.applied > 0 && reldata::registry::spec(id).is_none() {
-            if let Ok(graph) = self.executor.dataset(id) {
-                // Best effort: a storage hiccup leaves the in-memory state
-                // authoritative; the next mutation retries the write.
-                let _ = self.store.put_dataset(id, &graph);
-            }
-        }
-        Ok(outcome)
+        self.executor.mutate_dataset(id, ops)
     }
 
     /// Adds `n` more worker threads at runtime — the paper's computational
@@ -814,23 +794,6 @@ mod tests {
         let m = s.metrics();
         assert_eq!(m.failed, 1);
         assert_eq!(m.completed, 1);
-    }
-
-    #[test]
-    fn uploads_survive_scheduler_restart() {
-        let store: Arc<dyn crate::datastore::Datastore> =
-            Arc::new(crate::datastore::MemoryStore::new());
-        {
-            let s = Scheduler::builder().workers(1).datastore(Arc::clone(&store)).build();
-            let mut b = relgraph::GraphBuilder::new();
-            b.add_labeled_edge("me", "pal");
-            b.add_labeled_edge("pal", "me");
-            s.register_dataset("persisted-net", b.build()).unwrap();
-        } // scheduler dropped
-        let s = Scheduler::builder().workers(1).datastore(store).build();
-        let id = s.submit(cyclerank_task("persisted-net", "me"));
-        let r = s.wait(&id, T).unwrap();
-        assert_eq!(r.top[1].0, "pal");
     }
 
     #[test]

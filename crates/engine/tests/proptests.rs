@@ -81,61 +81,6 @@ proptest! {
         }
     }
 
-    /// The memory and file datastores behave identically under random
-    /// result/log operation sequences.
-    #[test]
-    fn datastores_equivalent(ops in prop::collection::vec((0u8..3, 0usize..4), 1..25)) {
-        let dir = std::env::temp_dir()
-            .join(format!("relengine-prop-{}", rand::random::<u64>()));
-        let mem = MemoryStore::new();
-        let file = FileStore::open(&dir).unwrap();
-        let ids: Vec<TaskId> = (0..4).map(|_| TaskId::fresh()).collect();
-
-        let sample = |id: &TaskId, tag: usize| TaskResult {
-            task_id: id.clone(),
-            dataset: format!("d{tag}"),
-            algorithm: "pagerank".into(),
-            parameters: "α = 0.85".into(),
-            source: None,
-            top: vec![(format!("n{tag}"), tag as f64)],
-            runtime_ms: tag as u64,
-            nodes: 1,
-            edges: 1,
-            iterations: Some(tag),
-            residual: Some(tag as f64 * 1e-12),
-            converged: Some(true),
-            residuals: None,
-            cycles_found: None,
-        };
-
-        for (op, slot) in ops {
-            let id = &ids[slot];
-            match op {
-                0 => {
-                    let r = sample(id, slot);
-                    mem.put_result(&r).unwrap();
-                    file.put_result(&r).unwrap();
-                }
-                1 => {
-                    mem.append_log(id, &format!("line-{slot}")).unwrap();
-                    file.append_log(id, &format!("line-{slot}")).unwrap();
-                }
-                _ => {
-                    prop_assert_eq!(
-                        mem.get_result(id).unwrap(),
-                        file.get_result(id).unwrap()
-                    );
-                    prop_assert_eq!(mem.get_log(id).unwrap(), file.get_log(id).unwrap());
-                }
-            }
-        }
-        for id in &ids {
-            prop_assert_eq!(mem.get_result(id).unwrap(), file.get_result(id).unwrap());
-            prop_assert_eq!(mem.get_log(id).unwrap(), file.get_log(id).unwrap());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Waiting on a task unknown to the engine always errors, never hangs.
     #[test]
     fn unknown_tasks_error_immediately(_x in 0u8..3) {

@@ -130,14 +130,14 @@ pub fn encode_image(dataset: &str, graph: &CompactGraph, version: u64) -> Vec<u8
         graph.labels().iter().map(|(n, l)| (n.raw(), l.to_string())).collect();
 
     let sections: [Vec<u8>; SECTIONS] = [
-        serde_json::to_vec(&meta).expect("image meta serializes"),
+        serde_json::to_value(&meta).to_string().into_bytes(),
         offsets_bytes(&out_adj.offsets),
         out_adj.stream.clone(),
         wsum_bytes(&out_adj.weight_sums),
         offsets_bytes(&in_adj.offsets),
         in_adj.stream.clone(),
         wsum_bytes(&in_adj.weight_sums),
-        serde_json::to_vec(&labels).expect("labels serialize"),
+        serde_json::to_value(&labels).to_string().into_bytes(),
     ];
 
     let mut out = Vec::with_capacity(
@@ -173,8 +173,14 @@ fn invalid(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Invalid(msg.into())
 }
 
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+/// The little-endian `u64` at byte `at`; a read past the end is an
+/// invalid image, not a panic.
+fn read_u64(bytes: &[u8], at: usize) -> Result<u64, SnapshotError> {
+    bytes
+        .get(at..)
+        .and_then(|rest| rest.first_chunk::<8>())
+        .map(|b| u64::from_le_bytes(*b))
+        .ok_or_else(|| invalid(format!("u64 at byte {at} runs past the image end")))
 }
 
 fn decode_offsets(bytes: &[u8], wide: bool, what: &str) -> Result<OffsetIndex, SnapshotError> {
@@ -183,14 +189,9 @@ fn decode_offsets(bytes: &[u8], wide: bool, what: &str) -> Result<OffsetIndex, S
         return Err(invalid(format!("{what} section is {} bytes, not /{width}", bytes.len())));
     }
     Ok(if wide {
-        OffsetIndex::U64(bytes.chunks_exact(8).map(|c| read_u64(c, 0)).collect())
+        OffsetIndex::U64(bytes.as_chunks::<8>().0.iter().map(|c| u64::from_le_bytes(*c)).collect())
     } else {
-        OffsetIndex::U32(
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect(),
-        )
+        OffsetIndex::U32(bytes.as_chunks::<4>().0.iter().map(|c| u32::from_le_bytes(*c)).collect())
     })
 }
 
@@ -201,7 +202,7 @@ fn decode_wsums(bytes: &[u8], what: &str) -> Result<Option<Vec<f64>>, SnapshotEr
     if !bytes.len().is_multiple_of(8) {
         return Err(invalid(format!("{what} section is {} bytes, not /8", bytes.len())));
     }
-    Ok(Some(bytes.chunks_exact(8).map(|c| f64::from_bits(read_u64(c, 0))).collect()))
+    Ok(Some(bytes.as_chunks::<8>().0.iter().map(|c| f64::from_le_bytes(*c)).collect()))
 }
 
 /// Decodes image bytes back into metadata and the compact graph.
@@ -222,21 +223,23 @@ pub fn decode_image(bytes: &[u8]) -> Result<(ImageMeta, CompactGraph), SnapshotE
     if flags & !KNOWN_FLAGS != 0 {
         return Err(invalid(format!("unknown image flags {flags:#04x}")));
     }
-    let body_len = bytes.len() - 4;
-    let stored_crc = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-    if crc32(&bytes[..body_len]) != stored_crc {
+    let Some((body, stored_crc)) = bytes.split_last_chunk::<4>() else {
+        return Err(invalid("image has no crc"));
+    };
+    let body_len = body.len();
+    if crc32(body) != u32::from_le_bytes(*stored_crc) {
         return Err(invalid("image crc mismatch"));
     }
 
-    let version = read_u64(bytes, 8);
-    let nodes = read_u64(bytes, 16);
-    let edges = read_u64(bytes, 24);
+    let version = read_u64(bytes, 8)?;
+    let nodes = read_u64(bytes, 16)?;
+    let edges = read_u64(bytes, 24)?;
 
     let mut sections: Vec<&[u8]> = Vec::with_capacity(SECTIONS);
     for i in 0..SECTIONS {
         let entry = HEADER_LEN + i * 16;
-        let off = read_u64(bytes, entry) as usize;
-        let len = read_u64(bytes, entry + 8) as usize;
+        let off = read_u64(bytes, entry)? as usize;
+        let len = read_u64(bytes, entry + 8)? as usize;
         if !off.is_multiple_of(8) {
             return Err(invalid(format!("section {i} unaligned at {off}")));
         }
@@ -288,8 +291,8 @@ pub fn read_image_meta(bytes: &[u8]) -> Result<ImageMeta, SnapshotError> {
     if bytes[4] != IMAGE_VERSION {
         return Err(invalid(format!("unknown image format version {}", bytes[4])));
     }
-    let off = read_u64(bytes, HEADER_LEN) as usize;
-    let len = read_u64(bytes, HEADER_LEN + 8) as usize;
+    let off = read_u64(bytes, HEADER_LEN)? as usize;
+    let len = read_u64(bytes, HEADER_LEN + 8)? as usize;
     let end = off.checked_add(len).filter(|&e| e <= bytes.len());
     let meta_bytes = match end {
         Some(end) => &bytes[off..end],
@@ -299,9 +302,9 @@ pub fn read_image_meta(bytes: &[u8]) -> Result<ImageMeta, SnapshotError> {
         serde_json::from_slice(meta_bytes).map_err(|e| invalid(format!("meta decode: {e}")))?;
     Ok(ImageMeta {
         dataset: meta.dataset,
-        version: read_u64(bytes, 8),
-        nodes: read_u64(bytes, 16),
-        edges: read_u64(bytes, 24),
+        version: read_u64(bytes, 8)?,
+        nodes: read_u64(bytes, 16)?,
+        edges: read_u64(bytes, 24)?,
         weighted: bytes[5] & FLAG_WEIGHTED != 0,
     })
 }
@@ -350,7 +353,7 @@ mod tests {
         let g = sample(true);
         let bytes = encode_image("x", &g, 1);
         for i in 0..SECTIONS {
-            let off = read_u64(&bytes, HEADER_LEN + i * 16);
+            let off = read_u64(&bytes, HEADER_LEN + i * 16).unwrap();
             assert_eq!(off % 8, 0, "section {i} at {off}");
         }
     }
@@ -414,7 +417,7 @@ mod tests {
         // structural validation inside CompactGraph::from_raw.
         let g = sample(false);
         let mut bytes = encode_image("ds", &g, 1);
-        let stream_off = read_u64(&bytes, HEADER_LEN + 2 * 16) as usize;
+        let stream_off = read_u64(&bytes, HEADER_LEN + 2 * 16).unwrap() as usize;
         bytes[stream_off] = 0xFF; // absurd leading degree varint byte
         let body = bytes.len() - 4;
         let crc = crc32(&bytes[..body]);

@@ -23,11 +23,12 @@ use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotError, SnapshotM
 use crate::vfs::{StdFs, Vfs};
 use relgraph::DirectedGraph;
 use serde::Serialize;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const JOURNAL_FILE: &str = "journal.log";
@@ -56,6 +57,9 @@ pub enum StoreError {
         /// Dataset id.
         dataset: String,
     },
+    /// A thread panicked while holding the journal-writer lock. The call
+    /// that observes it fails; the lock is then cleared for the next one.
+    Poisoned,
 }
 
 impl std::fmt::Display for StoreError {
@@ -68,6 +72,9 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::NonMonotonic { dataset } => {
                 write!(f, "journal for {dataset:?} has non-monotonic versions")
+            }
+            StoreError::Poisoned => {
+                write!(f, "journal writer lock poisoned by a panicked writer; retry")
             }
         }
     }
@@ -205,6 +212,18 @@ impl DatasetStore {
         self.dir(id).join(IMAGE_FILE)
     }
 
+    /// Locks the journal-writer cache. If a writer panicked while holding
+    /// it, this call fails with [`StoreError::Poisoned`]; the cache is
+    /// emptied and the poison cleared, so the next call reopens each
+    /// journal (repairing any torn tail) instead of finding a dead store.
+    fn writers(&self) -> Result<MutexGuard<'_, HashMap<String, JournalWriter>>, StoreError> {
+        self.writers.lock().map_err(|poisoned| {
+            poisoned.into_inner().clear();
+            self.writers.clear_poison();
+            StoreError::Poisoned
+        })
+    }
+
     /// True when `id` already has a snapshot on disk.
     pub fn has_snapshot(&self, id: &str) -> bool {
         self.snapshot_path(id).is_file()
@@ -245,11 +264,11 @@ impl DatasetStore {
         id: &str,
         graph: &DirectedGraph,
         version: u64,
-    ) -> std::io::Result<()> {
-        let mut writers = self.writers.lock().expect("store writer lock");
+    ) -> Result<(), StoreError> {
+        let mut writers = self.writers()?;
         let dir = self.dir(id);
         self.vfs.create_dir_all(&dir)?;
-        let bytes = encode_snapshot(id, graph, version);
+        let bytes = encode_snapshot(id, graph, version)?;
         let tmp = dir.join(SNAPSHOT_TMP);
         {
             let mut f = self.vfs.create(&tmp)?;
@@ -270,7 +289,7 @@ impl DatasetStore {
                 f.sync_data()?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
         Ok(())
     }
@@ -325,14 +344,18 @@ impl DatasetStore {
     /// returning). Returns the journal's record count after the append,
     /// which the engine compares against its compaction threshold to
     /// decide when to rotate.
-    pub fn append_batch(&self, id: &str, record: &JournalRecord) -> std::io::Result<u64> {
-        let mut writers = self.writers.lock().expect("store writer lock");
-        if !writers.contains_key(id) {
-            self.vfs.create_dir_all(&self.dir(id))?;
-            let w = JournalWriter::open_with_vfs(&self.journal_path(id), self.vfs.as_ref())?;
-            writers.insert(id.to_string(), w);
-        }
-        let w = writers.get_mut(id).expect("writer just inserted");
+    pub fn append_batch(&self, id: &str, record: &JournalRecord) -> Result<u64, StoreError> {
+        let mut writers = self.writers()?;
+        let w = match writers.entry(id.to_string()) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => {
+                self.vfs.create_dir_all(&self.dir(id))?;
+                slot.insert(JournalWriter::open_with_vfs(
+                    &self.journal_path(id),
+                    self.vfs.as_ref(),
+                )?)
+            }
+        };
         match w.append(record) {
             Ok(()) => Ok(w.records()),
             Err(e) => {
@@ -340,7 +363,7 @@ impl DatasetStore {
                 // journal, which re-scans and repairs any torn tail the
                 // failed append (or its failed rollback) left behind.
                 writers.remove(id);
-                Err(e)
+                Err(e.into())
             }
         }
     }
@@ -576,6 +599,26 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_writer_lock_fails_one_call_then_recovers() {
+        let root = temp_root("poison");
+        let store = DatasetStore::open(&root).unwrap();
+        store.write_snapshot("ds", &graph(), 0).unwrap();
+        store.append_batch("ds", &rec(1)).unwrap();
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _guard = store.writers.lock();
+                panic!("writer panics while holding the lock");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(matches!(store.append_batch("ds", &rec(2)), Err(StoreError::Poisoned)));
+        // The journal reopens and appending resumes where it left off.
+        assert_eq!(store.append_batch("ds", &rec(2)).unwrap(), 2);
+        assert_eq!(store.load("ds").unwrap().unwrap().tail.len(), 2);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn rotation_truncates_journal_and_skips_stale_records() {
         let root = temp_root("rotate");
         let store = DatasetStore::open(&root).unwrap();
@@ -768,7 +811,7 @@ mod tests {
         let keep = std::fs::metadata(store.journal_path("ds")).unwrap().len();
         inj.arm(FaultPlan::one(0, FaultKind::Enospc));
         let err = store.append_batch("ds", &rec(2)).unwrap_err();
-        assert_eq!(err.raw_os_error(), Some(28), "{err}");
+        assert!(matches!(&err, StoreError::Io(e) if e.raw_os_error() == Some(28)), "{err}");
         assert_eq!(std::fs::metadata(store.journal_path("ds")).unwrap().len(), keep);
         // The evicted writer reopens and appending resumes cleanly.
         store.append_batch("ds", &rec(2)).unwrap();

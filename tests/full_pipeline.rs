@@ -1,6 +1,7 @@
 //! Cross-crate integration: file formats → graph substrate → algorithms →
 //! engine → datastore, end to end.
 
+use cyclerank_platform::engine::{EdgeOp, EdgeSpec};
 use cyclerank_platform::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,36 +57,42 @@ fn uploaded_graph_roundtrips_through_all_formats_and_algorithms() {
     }
 }
 
-/// The engine pipeline against a file-backed datastore: results survive on
-/// disk and can be re-read by a fresh store instance (the "permalink"
-/// behaviour of the demo).
+/// Uploads are durable through relstore alone: an upload registered and
+/// mutated on a `data_dir` scheduler comes back after a restart at the
+/// same version and digest, and the datastore never holds a copy of it.
 #[test]
-fn engine_persists_results_to_file_datastore() {
+fn uploads_restore_from_data_dir_through_relstore() {
     let dir = std::env::temp_dir().join(format!("cyclerank-e2e-{}", std::process::id()));
-    let store = Arc::new(FileStore::open(&dir).unwrap());
-
-    let task_id = {
-        let engine = Scheduler::builder().workers(2).datastore(store.clone()).build();
-        let id = engine.submit(
-            TaskBuilder::new("fixture-fakenews-fr")
-                .algorithm(Algorithm::CycleRank)
-                .source("Fake news")
-                .top_k(6)
-                .build()
-                .unwrap(),
-        );
-        let result = engine.wait(&id, Duration::from_secs(60)).unwrap();
-        assert_eq!(result.top[1].0, "Ère post-vérité");
-        id
+    let _ = std::fs::remove_dir_all(&dir);
+    let (version, digest) = {
+        let engine = Scheduler::builder().workers(1).data_dir(&dir).build();
+        let mut b = GraphBuilder::new();
+        b.add_labeled_edge("me", "pal");
+        b.add_labeled_edge("pal", "me");
+        engine.register_dataset("durable-net", b.build()).unwrap();
+        let add = EdgeSpec { source: "pal".into(), target: "stranger".into(), weight: Some(2.0) };
+        let outcome = engine.mutate_dataset("durable-net", &[EdgeOp::Add(add)]).unwrap();
+        assert_eq!(outcome.applied, 1);
+        assert!(engine.store().list_datasets().unwrap().is_empty());
+        let (g, v) = engine.executor().dataset_versioned("durable-net").unwrap();
+        (v, relstore::graph_digest(&g, v))
     }; // engine dropped: workers joined
 
-    // A fresh store over the same directory still serves the result.
-    let reopened = FileStore::open(&dir).unwrap();
-    let persisted = reopened.get_result(&task_id).unwrap().expect("persisted result");
-    assert_eq!(persisted.algorithm, "cyclerank");
-    assert!(persisted.top.iter().any(|(l, _)| l == "Donald Trump"));
-    let log = reopened.get_log(&task_id).unwrap();
-    assert!(log.contains("done"));
+    let engine = Scheduler::builder().workers(1).data_dir(&dir).build();
+    let (g, v) = engine.executor().dataset_versioned("durable-net").unwrap();
+    assert_eq!(v, version);
+    assert_eq!(relstore::graph_digest(&g, v), digest);
+    let id = engine.submit(
+        TaskBuilder::new("durable-net")
+            .algorithm(Algorithm::CycleRank)
+            .source("me")
+            .top_k(2)
+            .build()
+            .unwrap(),
+    );
+    let result = engine.wait(&id, Duration::from_secs(60)).unwrap();
+    assert_eq!(result.top[0].0, "me");
+    assert_eq!(result.edges, 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
