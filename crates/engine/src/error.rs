@@ -26,7 +26,7 @@ pub enum EngineError {
     Timeout(String),
     /// The task ran but failed; the message is the recorded failure.
     TaskFailed(String),
-    /// Datastore IO failure.
+    /// Durable-store or dataset-codec failure.
     Storage(String),
     /// A `Query` cannot be expressed as a schedulable task spec.
     UnsupportedQuery(String),

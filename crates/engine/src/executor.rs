@@ -119,6 +119,13 @@ pub struct Executor {
     /// only traffic on that dataset — the outer map lock is held just
     /// long enough to clone the slot `Arc`.
     datasets: Mutex<HashMap<String, Arc<Mutex<DynamicGraph>>>>,
+    /// Held while a registry dataset is generated on first use, so first
+    /// requests that race on an unloaded dataset generate it once instead
+    /// of once each: a duplicate generation is wasted work, and its
+    /// transient graph makes the peak resident set depend on how the
+    /// requests happened to interleave. Lookups of loaded datasets never
+    /// take it.
+    generating: Mutex<()>,
     results: ResultCache,
     /// Optional durable store: when attached, uploads snapshot on
     /// registration, every applied mutation batch is journaled (fsynced)
@@ -158,6 +165,7 @@ impl Executor {
     pub fn with_cache_capacity(capacity: usize) -> Self {
         Executor {
             datasets: Mutex::new(HashMap::new()),
+            generating: Mutex::new(()),
             results: ResultCache::new(capacity),
             persist: None,
             arenas: Mutex::new(BTreeMap::new()),
@@ -360,14 +368,21 @@ impl Executor {
         let slot = match self.slot_if_cached(id) {
             Some(slot) => slot,
             None => {
-                // Generate outside both locks: generation can take a while
-                // and other datasets' lookups shouldn't block on it.
-                let g = reldata::load_dataset(id)
-                    .ok_or_else(|| EngineError::UnknownDataset(id.into()))?;
-                let g = Arc::new(g);
-                Arc::clone(self.datasets.lock().entry(id.to_string()).or_insert_with(|| {
-                    Arc::new(Mutex::new(DynamicGraph::from_arc(Arc::clone(&g))))
-                }))
+                // Generate outside the map lock, so lookups of loaded
+                // datasets don't block on it, but under the generation
+                // lock; a racer that waited on it finds the slot filled.
+                let _generating = self.generating.lock();
+                match self.slot_if_cached(id) {
+                    Some(slot) => slot,
+                    None => {
+                        let g = reldata::load_dataset(id)
+                            .ok_or_else(|| EngineError::UnknownDataset(id.into()))?;
+                        let g = Arc::new(g);
+                        Arc::clone(self.datasets.lock().entry(id.to_string()).or_insert_with(
+                            || Arc::new(Mutex::new(DynamicGraph::from_arc(Arc::clone(&g)))),
+                        ))
+                    }
+                }
             }
         };
         // Snapshot under the per-dataset lock only: a post-mutation

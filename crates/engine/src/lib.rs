@@ -13,13 +13,16 @@
 //! 3. *"the computation is off-loaded to worker nodes; the Status
 //!    component polls for progress"* → worker threads over crossbeam
 //!    channels, [`status::StatusBoard`];
-//! 4. *"results and logs are written to the datastore"* →
-//!    [`datastore::Datastore`] ([`datastore::MemoryStore`]); uploaded
-//!    datasets are durable through relstore ([`persist`]) when the
-//!    scheduler has a data dir;
+//! 4. *"results and logs are written to the datastore"* → workers write
+//!    each task's log lines and result onto its [`status::StatusBoard`]
+//!    entry, which holds at most [`status::MAX_TERMINAL_TASKS`] finished
+//!    tasks; uploaded datasets are durable through relstore ([`persist`])
+//!    when the scheduler has a data dir;
 //! 5. *"the API returns the results of the completed task"* →
-//!    [`scheduler::Scheduler::wait`] / [`datastore::Datastore::get_result`]
-//!    (served over HTTP by the `relserver` crate).
+//!    [`scheduler::Scheduler::wait`] / [`status::StatusBoard::result`]
+//!    (served over HTTP by the `relserver` crate, which answers `?sync=1`
+//!    reads by calling [`executor::Executor::execute`] directly, with no
+//!    task record).
 //!
 //! ```
 //! use relengine::prelude::*;
@@ -50,7 +53,7 @@ pub mod task;
 
 pub use builder::TaskBuilder;
 pub use cache::{CacheStats, ResultCache};
-pub use datastore::{Datastore, MemoryStore};
+pub use datastore::MemoryStore;
 pub use error::EngineError;
 pub use executor::{
     ArenaPoolStats, DegradedDataset, Executor, TaskResult, DEFAULT_DEGRADED_BACKOFF,
@@ -65,7 +68,6 @@ pub use task::{BatchSpec, QuerySet, TaskId, TaskSpec};
 pub mod prelude {
     pub use crate::builder::TaskBuilder;
     pub use crate::cache::CacheStats;
-    pub use crate::datastore::{Datastore, MemoryStore};
     pub use crate::executor::{Executor, TaskResult};
     pub use crate::scheduler::Scheduler;
     pub use crate::status::{StatusBoard, TaskRecord, TaskState};

@@ -2,15 +2,15 @@
 //!
 //! Tasks submitted through [`Scheduler::submit`] are queued on a crossbeam
 //! channel; a pool of worker threads (the paper's "computational nodes",
-//! which "can be scaled up or down depending on the system's workload" —
-//! here via [`SchedulerBuilder::workers`]) pops tasks, executes them
-//! through a shared [`Executor`], and writes results and logs to the
-//! [`Datastore`]. The [`StatusBoard`] tracks every task's lifecycle for
-//! polling, and [`Scheduler::wait`] blocks until a task reaches a terminal
-//! state.
+//! sized by [`SchedulerBuilder::workers`]) pops tasks and executes them
+//! through a shared [`Executor`]. The [`StatusBoard`] owns every task's
+//! lifecycle: workers write its state, log lines and result there, pollers
+//! read them, and [`Scheduler::wait`] blocks until a task reaches a
+//! terminal state. Synchronous reads need none of this: relserver answers
+//! `?sync=1` by calling [`Executor::execute`] on its own HTTP worker.
 
 use crate::cache::CacheStats;
-use crate::datastore::{Datastore, MemoryStore};
+use crate::datastore::MemoryStore;
 use crate::error::EngineError;
 use crate::executor::{Executor, TaskResult};
 use crate::persist::GraphPersistence;
@@ -31,7 +31,6 @@ enum Job {
 /// Configures a [`Scheduler`].
 pub struct SchedulerBuilder {
     workers: usize,
-    store: Arc<dyn Datastore>,
     cache_capacity: usize,
     data_dir: Option<PathBuf>,
     persistence: Option<Arc<GraphPersistence>>,
@@ -41,12 +40,6 @@ impl SchedulerBuilder {
     /// Number of worker threads (default 2).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Datastore for results and logs (default: in-memory).
-    pub fn datastore(mut self, store: Arc<dyn Datastore>) -> Self {
-        self.store = store;
         self
     }
 
@@ -104,45 +97,35 @@ impl SchedulerBuilder {
         let executor = Arc::new(executor);
         executor.recover_persisted()?;
         let board = StatusBoard::new();
-        let mut handles = Vec::with_capacity(self.workers);
-        for worker_id in 0..self.workers {
-            let rx: Receiver<Job> = rx.clone();
-            let executor = Arc::clone(&executor);
-            let board = board.clone();
-            let store = Arc::clone(&self.store);
-            handles.push(std::thread::spawn(move || {
-                worker_loop(worker_id, rx, executor, board, store)
-            }));
-        }
-        Ok(Scheduler { tx, rx, board, store: self.store, executor, handles })
+        let handles = (0..self.workers)
+            .map(|worker_id| {
+                let rx: Receiver<Job> = rx.clone();
+                let executor = Arc::clone(&executor);
+                let board = board.clone();
+                std::thread::spawn(move || worker_loop(worker_id, rx, executor, board))
+            })
+            .collect();
+        Ok(Scheduler { tx, board, store: MemoryStore::new(), executor, handles })
     }
 }
 
-fn worker_loop(
-    worker_id: usize,
-    rx: Receiver<Job>,
-    executor: Arc<Executor>,
-    board: StatusBoard,
-    store: Arc<dyn Datastore>,
-) {
+fn worker_loop(worker_id: usize, rx: Receiver<Job>, executor: Arc<Executor>, board: StatusBoard) {
     while let Ok(job) = rx.recv() {
         match job {
             Job::Shutdown => break,
             Job::Run(id, spec) => {
-                if board.is_canceled(&id) {
-                    let _ =
-                        store.append_log(&id, &format!("worker {worker_id}: skipped (canceled)"));
+                if !board.mark_running(&id) {
+                    board.append_log(&id, &format!("worker {worker_id}: skipped (canceled)"));
                     continue;
                 }
-                board.mark_running(&id);
-                let _ = store.append_log(
+                board.append_log(
                     &id,
                     &format!("worker {worker_id}: running {}", spec.display_row()),
                 );
                 match executor.execute(&id, &spec) {
-                    Ok(result) => finish_task(worker_id, &board, &store, &id, &result),
+                    Ok(result) => finish_task(worker_id, &board, &id, result),
                     Err(e) => {
-                        let _ = store.append_log(&id, &format!("worker {worker_id}: failed: {e}"));
+                        board.append_log(&id, &format!("worker {worker_id}: failed: {e}"));
                         board.mark_failed(&id, e.to_string());
                     }
                 }
@@ -151,37 +134,32 @@ fn worker_loop(
                 // Canceled members are still solved (the batch is one fused
                 // sweep) but skipped at fan-out: no stored result, no state
                 // change past `canceled`.
-                let live: Vec<bool> = ids.iter().map(|id| !board.is_canceled(id)).collect();
+                let live: Vec<bool> = ids.iter().map(|id| board.mark_running(id)).collect();
                 for (id, &live) in ids.iter().zip(&live) {
-                    if live {
-                        board.mark_running(id);
-                        let _ = store.append_log(
-                            id,
-                            &format!(
-                                "worker {worker_id}: running in a {}-seed batch ({} | {})",
-                                ids.len(),
-                                spec.dataset,
-                                spec.params.algorithm.display_name(),
-                            ),
-                        );
+                    let line = if live {
+                        format!(
+                            "worker {worker_id}: running in a {}-seed batch ({} | {})",
+                            ids.len(),
+                            spec.dataset,
+                            spec.params.algorithm.display_name(),
+                        )
                     } else {
-                        let _ = store
-                            .append_log(id, &format!("worker {worker_id}: skipped (canceled)"));
-                    }
+                        format!("worker {worker_id}: skipped (canceled)")
+                    };
+                    board.append_log(id, &line);
                 }
                 match executor.execute_batch(&ids, &spec) {
                     Ok(results) => {
-                        for ((id, result), live) in ids.iter().zip(&results).zip(&live) {
+                        for ((id, result), live) in ids.iter().zip(results).zip(&live) {
                             if *live {
-                                finish_task(worker_id, &board, &store, id, result);
+                                finish_task(worker_id, &board, id, result);
                             }
                         }
                     }
                     Err(e) => {
                         for (id, &live) in ids.iter().zip(&live) {
                             if live {
-                                let _ = store
-                                    .append_log(id, &format!("worker {worker_id}: failed: {e}"));
+                                board.append_log(id, &format!("worker {worker_id}: failed: {e}"));
                                 board.mark_failed(id, e.to_string());
                             }
                         }
@@ -192,23 +170,16 @@ fn worker_loop(
     }
 }
 
-/// Records one finished task: progress on the status board, log lines, the
-/// stored result, and the terminal state flip.
-fn finish_task(
-    worker_id: usize,
-    board: &StatusBoard,
-    store: &Arc<dyn Datastore>,
-    id: &TaskId,
-    result: &TaskResult,
-) {
-    // Surface the solve's residual progress on the status board before
-    // flipping the state, so pollers always see convergence data alongside
-    // `completed`.
+/// Records one finished task on the status board: progress, log lines, and
+/// then the result together with the terminal state flip.
+fn finish_task(worker_id: usize, board: &StatusBoard, id: &TaskId, result: TaskResult) {
+    // Surface the solve's residual progress before flipping the state, so
+    // pollers always see convergence data alongside `completed`.
     if let (Some(iterations), Some(residual), Some(converged)) =
         (result.iterations, result.residual, result.converged)
     {
         board.record_progress(id, SolveProgress { iterations, residual, converged });
-        let _ = store.append_log(
+        board.append_log(
             id,
             &format!(
                 "worker {worker_id}: solver {} after {iterations} iterations \
@@ -217,11 +188,8 @@ fn finish_task(
             ),
         );
     }
-    let _ = store.append_log(id, &format!("worker {worker_id}: done in {}ms", result.runtime_ms));
-    match store.put_result(result) {
-        Ok(()) => board.mark_completed(id),
-        Err(e) => board.mark_failed(id, e.to_string()),
-    }
+    board.append_log(id, &format!("worker {worker_id}: done in {}ms", result.runtime_ms));
+    board.mark_completed(id, result);
 }
 
 /// The running engine: submit tasks, poll status, fetch results.
@@ -230,9 +198,8 @@ fn finish_task(
 /// finish; queued tasks are abandoned only if the process exits).
 pub struct Scheduler {
     tx: Sender<Job>,
-    rx: Receiver<Job>,
     board: StatusBoard,
-    store: Arc<dyn Datastore>,
+    store: MemoryStore,
     executor: Arc<Executor>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -242,7 +209,6 @@ impl Scheduler {
     pub fn builder() -> SchedulerBuilder {
         SchedulerBuilder {
             workers: 2,
-            store: Arc::new(MemoryStore::new()),
             cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             data_dir: None,
             persistence: None,
@@ -324,24 +290,6 @@ impl Scheduler {
         self.executor.mutate_dataset(id, ops)
     }
 
-    /// Adds `n` more worker threads at runtime — the paper's computational
-    /// nodes "can be scaled up or down depending on the system's workload".
-    /// (Scaling *down* happens naturally when the scheduler is dropped;
-    /// individual workers are not reaped early.)
-    pub fn add_workers(&mut self, n: usize) {
-        let base = self.handles.len();
-        for i in 0..n {
-            let rx = self.rx.clone();
-            let executor = Arc::clone(&self.executor);
-            let board = self.board.clone();
-            let store = Arc::clone(&self.store);
-            let worker_id = base + i;
-            self.handles.push(std::thread::spawn(move || {
-                worker_loop(worker_id, rx, executor, board, store)
-            }));
-        }
-    }
-
     /// Number of worker threads currently running.
     pub fn worker_count(&self) -> usize {
         self.handles.len()
@@ -368,8 +316,9 @@ impl Scheduler {
         &self.board
     }
 
-    /// The datastore (results and logs).
-    pub fn store(&self) -> &Arc<dyn Datastore> {
+    /// The in-memory dataset codec ([`MemoryStore`]). The scheduler never
+    /// writes to it; task results and logs are on [`Scheduler::board`].
+    pub fn store(&self) -> &MemoryStore {
         &self.store
     }
 
@@ -378,28 +327,16 @@ impl Scheduler {
         &self.executor
     }
 
-    /// Blocks until `id` reaches a terminal state, then returns its result.
+    /// Blocks until `id` reaches a terminal state, then returns its result
+    /// from the status board.
     ///
     /// Returns [`EngineError::Timeout`] if the deadline passes,
-    /// [`EngineError::TaskFailed`] if the task failed.
+    /// [`EngineError::TaskFailed`] if the task failed or was canceled, and
+    /// [`EngineError::UnknownTask`] for an id the board does not hold
+    /// (never submitted, or evicted after
+    /// [`crate::status::MAX_TERMINAL_TASKS`] later tasks finished).
     pub fn wait(&self, id: &TaskId, timeout: Duration) -> Result<TaskResult, EngineError> {
-        // Event-driven: workers signal every terminal transition through
-        // the board, so the wait costs one wakeup instead of a poll loop
-        // (whose 2 ms floor used to dominate sub-millisecond solves on
-        // the synchronous serving path).
-        let record = self
-            .board
-            .wait_terminal(id, timeout)
-            .ok_or_else(|| EngineError::UnknownTask(id.to_string()))?;
-        match record.state {
-            TaskState::Completed => self
-                .store
-                .get_result(id)?
-                .ok_or_else(|| EngineError::Storage("result missing".into())),
-            TaskState::Failed { error } => Err(EngineError::TaskFailed(error)),
-            TaskState::Canceled => Err(EngineError::TaskFailed("canceled".into())),
-            TaskState::Queued | TaskState::Running => Err(EngineError::Timeout(id.to_string())),
-        }
+        self.board.wait_terminal(id, timeout)
     }
 
     /// Waits for a batch of tasks (e.g. a submitted query set).
@@ -455,7 +392,7 @@ mod tests {
         assert_eq!(r.top[1].0, "Disinformazione");
         assert_eq!(s.status(&id).unwrap(), TaskState::Completed);
         // Logs were recorded.
-        let log = s.store().get_log(&id).unwrap();
+        let log = s.board().log(&id).unwrap();
         assert!(log.contains("running"));
         assert!(log.contains("done"));
     }
@@ -470,7 +407,7 @@ mod tests {
         assert_eq!(Some(progress.iterations), r.iterations);
         assert_eq!(Some(progress.residual), r.residual);
         assert!(progress.converged);
-        let log = s.store().get_log(&id).unwrap();
+        let log = s.board().log(&id).unwrap();
         assert!(log.contains("converged"), "{log}");
         // CycleRank has no iterative solve: no progress recorded.
         let id = s.submit(cyclerank_task("fixture-fakenews-it", "Fake news"));
@@ -552,9 +489,10 @@ mod tests {
             assert!(r.converged.unwrap());
         }
         // Every member polls like an ordinary task: status, result, log.
-        for id in &ids {
+        for (id, r) in ids.iter().zip(&results) {
             assert_eq!(s.status(id).unwrap(), TaskState::Completed);
-            assert!(s.store().get_log(id).unwrap().contains("batch"));
+            assert_eq!(s.board().result(id).unwrap().as_ref(), Some(r));
+            assert!(s.board().log(id).unwrap().contains("batch"));
         }
         let m = s.metrics();
         assert_eq!(m.completed, 4);
@@ -695,7 +633,7 @@ mod tests {
             if canceled.contains(id) {
                 assert!(matches!(s.status(id).unwrap(), TaskState::Canceled));
                 assert!(matches!(s.wait(id, T), Err(EngineError::TaskFailed(_))));
-                assert!(s.store().get_result(id).unwrap().is_none());
+                assert_eq!(s.board().result(id), Some(None));
             } else {
                 s.wait(id, T).unwrap();
             }
@@ -717,83 +655,6 @@ mod tests {
         assert_eq!(m.total, 2);
         assert_eq!(m.completed, 1);
         assert_eq!(m.failed, 1);
-    }
-
-    /// A datastore whose writes fail after a trigger — exercises the
-    /// worker's storage-failure path (Fig. 1 step 4 going wrong).
-    struct FlakyStore {
-        inner: crate::datastore::MemoryStore,
-        fail_results: std::sync::atomic::AtomicBool,
-    }
-
-    impl crate::datastore::Datastore for FlakyStore {
-        fn put_result(&self, r: &crate::executor::TaskResult) -> Result<(), EngineError> {
-            if self.fail_results.load(std::sync::atomic::Ordering::SeqCst) {
-                return Err(EngineError::Storage("disk full".into()));
-            }
-            self.inner.put_result(r)
-        }
-        fn get_result(
-            &self,
-            id: &TaskId,
-        ) -> Result<Option<crate::executor::TaskResult>, EngineError> {
-            self.inner.get_result(id)
-        }
-        fn append_log(&self, id: &TaskId, line: &str) -> Result<(), EngineError> {
-            self.inner.append_log(id, line)
-        }
-        fn get_log(&self, id: &TaskId) -> Result<String, EngineError> {
-            self.inner.get_log(id)
-        }
-        fn list_results(&self) -> Result<Vec<TaskId>, EngineError> {
-            self.inner.list_results()
-        }
-        fn put_dataset(&self, id: &str, g: &relgraph::DirectedGraph) -> Result<(), EngineError> {
-            self.inner.put_dataset(id, g)
-        }
-        fn get_dataset(&self, id: &str) -> Result<Option<relgraph::DirectedGraph>, EngineError> {
-            self.inner.get_dataset(id)
-        }
-        fn list_datasets(&self) -> Result<Vec<String>, EngineError> {
-            self.inner.list_datasets()
-        }
-    }
-
-    #[test]
-    fn workers_can_scale_up_at_runtime() {
-        let mut s = Scheduler::builder().workers(1).build();
-        assert_eq!(s.worker_count(), 1);
-        let ids: Vec<TaskId> =
-            (0..4).map(|_| s.submit(cyclerank_task("fixture-fakenews-de", "Fake News"))).collect();
-        s.add_workers(3);
-        assert_eq!(s.worker_count(), 4);
-        for id in &ids {
-            s.wait(id, T).unwrap();
-        }
-        // New tasks also complete on the grown pool.
-        let id = s.submit(cyclerank_task("fixture-fakenews-de", "Fake News"));
-        s.wait(&id, T).unwrap();
-    }
-
-    #[test]
-    fn storage_failure_marks_task_failed() {
-        let store = Arc::new(FlakyStore {
-            inner: crate::datastore::MemoryStore::new(),
-            fail_results: std::sync::atomic::AtomicBool::new(true),
-        });
-        let s = Scheduler::builder().workers(1).datastore(store.clone()).build();
-        let id = s.submit(cyclerank_task("fixture-fakenews-pl", "Fake news"));
-        match s.wait(&id, T) {
-            Err(EngineError::TaskFailed(e)) => assert!(e.contains("disk full"), "{e}"),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Recovery: once storage works again, new tasks complete.
-        store.fail_results.store(false, std::sync::atomic::Ordering::SeqCst);
-        let id = s.submit(cyclerank_task("fixture-fakenews-pl", "Fake news"));
-        s.wait(&id, T).unwrap();
-        let m = s.metrics();
-        assert_eq!(m.failed, 1);
-        assert_eq!(m.completed, 1);
     }
 
     #[test]

@@ -36,7 +36,7 @@ proptest! {
         for (id, &(_, k)) in ids.iter().zip(&picks) {
             let result = engine.wait(id, Duration::from_secs(120)).unwrap();
             prop_assert_eq!(result.top.len(), k.min(result.nodes));
-            prop_assert!(engine.store().get_result(id).unwrap().is_some());
+            prop_assert_eq!(engine.board().result(id), Some(Some(result)));
         }
         let m = engine.metrics();
         prop_assert_eq!(m.completed, picks.len());

@@ -19,8 +19,8 @@
 //! | GET  | `/api/datasets` | the 50-dataset catalog |
 //! | GET  | `/api/datasets/{id}` | one catalog entry |
 //! | GET  | `/api/algorithms` | registry contents: ids, metadata, parameter schemas |
-//! | POST | `/api/tasks` | submit a task (JSON [`relengine::TaskSpec`]; `?sync=1` waits for the result) |
-//! | GET  | `/api/tasks/{id}` | poll a task's status |
+//! | POST | `/api/tasks` | submit a task (JSON [`relengine::TaskSpec`]; `?sync=1` runs it inline on the HTTP worker and answers with the result, leaving no task to poll) |
+//! | GET  | `/api/tasks/{id}` | poll a task's status (ids evicted past [`relengine::status::MAX_TERMINAL_TASKS`] answer 404) |
 //! | GET  | `/api/tasks/{id}/result` | fetch a completed task's result |
 //! | GET  | `/api/tasks/{id}/log` | fetch a task's execution log |
 //! | POST | `/api/query-sets` | submit an array of tasks as one query set |

@@ -27,6 +27,10 @@
 //!   the duration of real engine work: cold full-rank `?sync=1` solves,
 //!   edge mutations, and dataset uploads.
 //!
+//! A `?sync=1` request on either lane runs [`relengine::Executor::execute`]
+//! on the HTTP worker that admitted it; it never passes through the
+//! scheduler and leaves no task state behind.
+//!
 //! The expensive lane holds at most [`ServingConfig::max_expensive`]
 //! permits; an expensive request that cannot take one immediately is shed
 //! with `429` + `Retry-After`. Cheap requests never queue behind that
@@ -80,9 +84,10 @@ impl ServingConfig {
     /// Sizes the pool for this host and engine: workers from
     /// `available_parallelism` (clamped to `[2, 32]`), a queue of 4
     /// connections per worker, and an expensive lane matching the
-    /// scheduler's solver worker count (cold solves ultimately serialize
-    /// on those workers and their per-dataset arena pools, so admitting
-    /// more would only queue memory) while always leaving at least one
+    /// scheduler's solver worker count (a cold sync solve runs on the HTTP
+    /// worker that admitted it, so this caps concurrent request-path
+    /// solves at what the solver pool runs and bounds the per-dataset
+    /// arena pools they draw from) while always leaving at least one
     /// worker free for cheap traffic.
     pub fn auto(engine_workers: usize) -> ServingConfig {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
@@ -276,12 +281,12 @@ pub enum Lane {
     Expensive,
 }
 
-/// Classifies a request. Synchronous solves consult the result cache and
-/// the top-k serving mode: a `?sync=1` task that would hit the cache or
-/// runs through certified top-k push is cheap, a cold full-rank sync
-/// solve is expensive. Asynchronous submissions are always cheap — they
-/// only enqueue, and the scheduler's bounded worker pool is their
-/// admission control.
+/// Classifies a request. Synchronous solves, which run inline on the HTTP
+/// worker, consult the result cache and the top-k serving mode: a
+/// `?sync=1` task that would hit the cache or runs through certified
+/// top-k push is cheap, a cold full-rank sync solve is expensive.
+/// Asynchronous submissions are always cheap — they only enqueue, and the
+/// scheduler's bounded worker pool is their admission control.
 pub fn classify(req: &Request, engine: &Arc<Scheduler>) -> Lane {
     match (req.method, req.segments().as_slice()) {
         (Method::Get, _) => Lane::Cheap,

@@ -41,7 +41,8 @@ fn index() -> Response {
         Directed Graphs</em> (ICDE 2024).</p>\n\
         <ul>\n\
         <li>GET /api/health — liveness</li>\n\
-        <li>GET /api/metrics — task counts</li>\n\
+        <li>GET /api/metrics — counts of the asynchronous tasks held \
+        (past a fixed cap the earliest-finished are evicted and answer 404)</li>\n\
         <li>GET /api/datasets — the 50-dataset catalog (+ uploads)</li>\n\
         <li>POST /api/datasets — upload a graph {name?, format?, content}</li>\n\
         <li>GET /api/datasets/{id} — one catalog entry + memory/locality footprint</li>\n\
@@ -51,7 +52,8 @@ fn index() -> Response {
         <li>DELETE /api/datasets/{id}/edges — remove edges (same body; bumps the graph version)</li>\n\
         <li>GET /api/algorithms — registered algorithms with parameter schemas</li>\n\
         <li>POST /api/tasks — submit a task (?top_k=k for top-k-only serving; \
-        ?sync=1 to wait and return the result in this response)</li>\n\
+        ?sync=1 to run it inline and return the result in this response, \
+        leaving no task to poll)</li>\n\
         <li>POST /api/batch — submit one algorithm over many seeds (one fused solve; ?top_k=k)</li>\n\
         <li>GET /api/cache/stats — result-cache hit/miss/eviction counters</li>\n\
         <li>GET /api/serving/stats — worker pool, admission queue, and load-shed counters</li>\n\
@@ -339,9 +341,9 @@ fn top_k_param(req: &Request) -> Result<Option<usize>, Response> {
 }
 
 /// Whether `?sync=1` (or `?sync=true`) requests synchronous serving:
-/// the response carries the finished task's result instead of a task id
-/// to poll. The serving pool uses this to route cold synchronous solves
-/// through the expensive admission lane.
+/// the HTTP worker executes the spec itself and the response carries the
+/// result instead of a task id to poll. The serving pool uses this to
+/// route cold synchronous solves through the expensive admission lane.
 pub(crate) fn wants_sync(req: &Request) -> bool {
     matches!(query_param(req, "sync"), Some("1") | Some("true"))
 }
@@ -359,11 +361,6 @@ pub(crate) fn effective_task_spec(req: &Request) -> Option<TaskSpec> {
     }
     Some(spec)
 }
-
-/// How long a `?sync=1` request may wait for its solve before answering
-/// 500 (the task keeps running; the id in the error lets the client fall
-/// back to polling).
-const SYNC_WAIT: std::time::Duration = std::time::Duration::from_secs(120);
 
 fn submit_task(req: &Request, engine: &Arc<Scheduler>) -> Response {
     let body = match req.body_str() {
@@ -393,19 +390,16 @@ fn submit_task(req: &Request, engine: &Arc<Scheduler>) -> Response {
     if personalized && spec.source.is_none() {
         return Response::error(StatusCode::BadRequest, "personalized algorithm requires a source");
     }
-    let sync = wants_sync(req);
-    let id = engine.submit(spec);
-    if sync {
-        return match engine.wait(&id, SYNC_WAIT) {
+    if wants_sync(req) {
+        // Executed right here, under the lane the serving pool chose: no
+        // scheduler hop and no task state. The result's fresh `task_id`
+        // names no pollable task.
+        return match engine.executor().execute(&TaskId::fresh(), &spec) {
             Ok(result) => Response::json(StatusCode::Ok, &result),
-            Err(e @ relengine::EngineError::TaskFailed(_)) => {
-                Response::error(StatusCode::BadRequest, e.to_string())
-            }
-            Err(e) => {
-                Response::error(StatusCode::InternalError, format!("sync wait for task {id}: {e}"))
-            }
+            Err(e) => Response::error(StatusCode::BadRequest, e.to_string()),
         };
     }
+    let id = engine.submit(spec);
     Response::json(StatusCode::Accepted, &Submitted { task_id: id.to_string() })
 }
 
@@ -521,25 +515,17 @@ fn task_status(id: &str, engine: &Arc<Scheduler>) -> Response {
 }
 
 fn task_result(id: &str, engine: &Arc<Scheduler>) -> Response {
-    let tid = TaskId(id.to_string());
-    if engine.board().get(&tid).is_none() {
-        return Response::error(StatusCode::NotFound, format!("unknown task {id:?}"));
-    }
-    match engine.store().get_result(&tid) {
-        Ok(Some(result)) => Response::json(StatusCode::Ok, &result),
-        Ok(None) => Response::error(StatusCode::NotFound, "result not ready"),
-        Err(e) => Response::error(StatusCode::InternalError, e.to_string()),
+    match engine.board().result(&TaskId(id.to_string())) {
+        Some(Some(result)) => Response::json(StatusCode::Ok, &result),
+        Some(None) => Response::error(StatusCode::NotFound, "result not ready"),
+        None => Response::error(StatusCode::NotFound, format!("unknown task {id:?}")),
     }
 }
 
 fn task_log(id: &str, engine: &Arc<Scheduler>) -> Response {
-    let tid = TaskId(id.to_string());
-    if engine.board().get(&tid).is_none() {
-        return Response::error(StatusCode::NotFound, format!("unknown task {id:?}"));
-    }
-    match engine.store().get_log(&tid) {
-        Ok(log) => Response::text(StatusCode::Ok, log),
-        Err(e) => Response::error(StatusCode::InternalError, e.to_string()),
+    match engine.board().log(&TaskId(id.to_string())) {
+        Some(log) => Response::text(StatusCode::Ok, log),
+        None => Response::error(StatusCode::NotFound, format!("unknown task {id:?}")),
     }
 }
 
@@ -552,28 +538,38 @@ mod tests {
         Arc::new(Scheduler::builder().workers(1).build())
     }
 
+    /// A request for `path`, which may carry a `?query`.
     fn get(path: &str) -> Request {
+        let (path, query) = path.split_once('?').unwrap_or((path, ""));
         Request {
             method: Method::Get,
             path: path.to_string(),
-            query: String::new(),
+            query: query.to_string(),
             headers: HashMap::new(),
             body: Vec::new(),
         }
     }
 
     fn post(path: &str, body: &str) -> Request {
-        Request {
-            method: Method::Post,
-            path: path.to_string(),
-            query: String::new(),
-            headers: HashMap::new(),
-            body: body.as_bytes().to_vec(),
-        }
+        Request { method: Method::Post, body: body.as_bytes().to_vec(), ..get(path) }
     }
 
     fn body_str(r: &Response) -> String {
         String::from_utf8(r.body.clone()).unwrap()
+    }
+
+    fn json(r: &Response) -> serde_json::Value {
+        serde_json::from_slice(&r.body).unwrap()
+    }
+
+    /// Submits an asynchronous task and waits for it through the engine;
+    /// returns the task id.
+    fn run_async(e: &Arc<Scheduler>, req: Request) -> String {
+        let r = route(&req, e);
+        assert_eq!(r.status, StatusCode::Accepted, "{}", body_str(&r));
+        let id = json(&r)["task_id"].as_str().unwrap().to_string();
+        e.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60)).unwrap();
+        id
     }
 
     #[test]
@@ -629,17 +625,9 @@ mod tests {
             "params": {"algorithm": "page_rank", "precision": "f32"},
             "top_k": 3
         }"#;
-        let req = Request {
-            method: Method::Post,
-            path: "/api/tasks".into(),
-            query: "sync=1".into(),
-            headers: HashMap::new(),
-            body: spec.as_bytes().to_vec(),
-        };
-        let r = route(&req, &e);
+        let r = route(&post("/api/tasks?sync=1", spec), &e);
         assert_eq!(r.status, StatusCode::Ok, "{}", body_str(&r));
-        let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
-        assert_eq!(v["top"].as_array().unwrap().len(), 3);
+        assert_eq!(json(&r)["top"].as_array().unwrap().len(), 3);
     }
 
     #[test]
@@ -651,32 +639,12 @@ mod tests {
             "source": "Freddie Mercury",
             "top_k": 100
         }"#;
-        let req = Request {
-            method: Method::Post,
-            path: "/api/tasks".into(),
-            query: "top_k=4".into(),
-            headers: HashMap::new(),
-            body: spec.as_bytes().to_vec(),
-        };
-        let r = route(&req, &e);
-        assert_eq!(r.status, StatusCode::Accepted, "{}", body_str(&r));
-        let id = serde_json::from_slice::<serde_json::Value>(&r.body).unwrap()["task_id"]
-            .as_str()
-            .unwrap()
-            .to_string();
-        e.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60)).unwrap();
-        let result = route(&get(&format!("/api/tasks/{id}/result")), &e);
-        let v: serde_json::Value = serde_json::from_slice(&result.body).unwrap();
+        let id = run_async(&e, post("/api/tasks?top_k=4", spec));
+        let v = json(&route(&get(&format!("/api/tasks/{id}/result")), &e));
         assert_eq!(v["top"].as_array().unwrap().len(), 4, "?top_k=4 trims the result");
 
         // Malformed top_k is rejected up front.
-        let bad = Request {
-            method: Method::Post,
-            path: "/api/tasks".into(),
-            query: "top_k=lots".into(),
-            headers: HashMap::new(),
-            body: spec.as_bytes().to_vec(),
-        };
+        let bad = post("/api/tasks?top_k=lots", spec);
         assert_eq!(route(&bad, &e).status, StatusCode::BadRequest);
     }
 
@@ -705,13 +673,8 @@ mod tests {
             "source": "Fake news",
             "top_k": 5
         }"#;
-        let r = route(&post("/api/tasks", spec), &e);
-        assert_eq!(r.status, StatusCode::Accepted);
-        let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
-        let id = v["task_id"].as_str().unwrap().to_string();
-
         // Wait for completion through the engine, then fetch over routes.
-        e.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60)).unwrap();
+        let id = run_async(&e, post("/api/tasks", spec));
         let status = route(&get(&format!("/api/tasks/{id}")), &e);
         assert!(body_str(&status).contains("completed"));
         let result = route(&get(&format!("/api/tasks/{id}/result")), &e);
@@ -731,13 +694,7 @@ mod tests {
             "source": null,
             "top_k": 3
         }"#;
-        let r = route(&post("/api/tasks", spec), &e);
-        assert_eq!(r.status, StatusCode::Accepted, "{}", body_str(&r));
-        let id = serde_json::from_slice::<serde_json::Value>(&r.body).unwrap()["task_id"]
-            .as_str()
-            .unwrap()
-            .to_string();
-        e.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60)).unwrap();
+        let id = run_async(&e, post("/api/tasks", spec));
 
         // The result payload carries residual, converged flag, and the
         // requested per-iteration trace.
@@ -880,13 +837,7 @@ mod tests {
             "source": "me",
             "top_k": 2
         }"#;
-        let r = route(&post("/api/tasks", spec), &e);
-        assert_eq!(r.status, StatusCode::Accepted);
-        let id = serde_json::from_slice::<serde_json::Value>(&r.body).unwrap()["task_id"]
-            .as_str()
-            .unwrap()
-            .to_string();
-        e.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60)).unwrap();
+        let id = run_async(&e, post("/api/tasks", spec));
         let result = route(&get(&format!("/api/tasks/{id}/result")), &e);
         assert!(body_str(&result).contains("friend"));
     }
@@ -907,13 +858,7 @@ mod tests {
     }
 
     fn delete(path: &str, body: &str) -> Request {
-        Request {
-            method: Method::Delete,
-            path: path.to_string(),
-            query: String::new(),
-            headers: HashMap::new(),
-            body: body.as_bytes().to_vec(),
-        }
+        Request { method: Method::Delete, ..post(path, body) }
     }
 
     /// The acceptance scenario: after `POST /api/datasets/{id}/edges`, a
@@ -933,15 +878,8 @@ mod tests {
             "top_k": 3
         }"#;
         let run = |e: &Arc<Scheduler>| -> serde_json::Value {
-            let r = route(&post("/api/tasks", spec), e);
-            assert_eq!(r.status, StatusCode::Accepted, "{}", body_str(&r));
-            let id = serde_json::from_slice::<serde_json::Value>(&r.body).unwrap()["task_id"]
-                .as_str()
-                .unwrap()
-                .to_string();
-            e.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60)).unwrap();
-            serde_json::from_slice(&route(&get(&format!("/api/tasks/{id}/result")), e).body)
-                .unwrap()
+            let id = run_async(e, post("/api/tasks", spec));
+            json(&route(&get(&format!("/api/tasks/{id}/result")), e))
         };
         let score = |v: &serde_json::Value, label: &str| -> f64 {
             v["top"]
@@ -1187,14 +1125,8 @@ mod tests {
             "source": "seed",
             "top_k": 3
         }"#;
-        let req = Request {
-            method: Method::Post,
-            path: "/api/tasks".into(),
-            query: "sync=1".into(),
-            headers: HashMap::new(),
-            body: spec.as_bytes().to_vec(),
-        };
-        assert_eq!(route(&req, &e).status, StatusCode::Ok, "reads serve while degraded");
+        let r = route(&post("/api/tasks?sync=1", spec), &e);
+        assert_eq!(r.status, StatusCode::Ok, "reads serve while degraded");
 
         // After the backoff elapses the probe mutation succeeds and
         // health recovers.
@@ -1206,6 +1138,91 @@ mod tests {
         assert_eq!(hv["status"], "ok");
         assert!(hv["degraded_datasets"].as_array().unwrap().is_empty(), "{hv}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_answer_equals_async_answer() {
+        // Cache off, so both paths really solve.
+        let e = Arc::new(Scheduler::builder().workers(1).cache_capacity(0).build());
+        let ppr = r#"{"dataset": "fixture-enwiki-2018",
+            "params": {"algorithm": "personalized_page_rank"},
+            "source": "Freddie Mercury", "top_k": 10}"#;
+        let cyclerank = r#"{"dataset": "fixture-fakenews-it",
+            "params": {"algorithm": "cycle_rank", "max_cycle_len": 3},
+            "source": "Fake news", "top_k": 5}"#;
+        for (spec, query) in [(ppr, ""), (cyclerank, ""), (ppr, "top_k=5")] {
+            let inline = route(&post(&format!("/api/tasks?sync=1&{query}"), spec), &e);
+            assert_eq!(inline.status, StatusCode::Ok, "{}", body_str(&inline));
+            let inline = json(&inline);
+            let id = run_async(&e, post(&format!("/api/tasks?{query}"), spec));
+            let queued = json(&route(&get(&format!("/api/tasks/{id}/result")), &e));
+            for field in ["top", "iterations", "residual", "converged", "cycles_found"] {
+                assert_eq!(inline[field], queued[field], "{field} of {spec} ?{query}");
+            }
+            assert_ne!(inline["task_id"], queued["task_id"]);
+        }
+    }
+
+    #[test]
+    fn sync_requests_leave_no_task_state() {
+        let e = engine();
+        let spec = r#"{"dataset": "fixture-fakenews-pl",
+            "params": {"algorithm": "personalized_page_rank"}, "source": "Fake news", "top_k": 3}"#;
+        for query in ["sync=1", "sync=1", "sync=true", "sync=1&top_k=2"] {
+            let r = route(&post(&format!("/api/tasks?{query}"), spec), &e);
+            assert_eq!(r.status, StatusCode::Ok, "{}", body_str(&r));
+            // The answer's task id names no pollable task.
+            let id = json(&r)["task_id"].as_str().unwrap().to_string();
+            assert_eq!(route(&get(&format!("/api/tasks/{id}")), &e).status, StatusCode::NotFound);
+        }
+        // A solve error is a 400, and leaves nothing behind either.
+        let bad = r#"{"dataset": "fixture-fakenews-pl",
+            "params": {"algorithm": "cycle_rank"}, "source": "No Such Page"}"#;
+        let r = route(&post("/api/tasks?sync=1", bad), &e);
+        assert_eq!(r.status, StatusCode::BadRequest, "{}", body_str(&r));
+        assert!(e.board().is_empty());
+        assert_eq!(json(&route(&get("/api/metrics"), &e))["total"], 0);
+    }
+
+    #[test]
+    fn task_status_payload_keys_unchanged() {
+        let e = engine();
+        let spec = r#"{"dataset": "fixture-fakenews-pl",
+            "params": {"algorithm": "page_rank"}, "top_k": 3}"#;
+        let id = run_async(&e, post("/api/tasks", spec));
+        let status = json(&route(&get(&format!("/api/tasks/{id}")), &e));
+        let mut keys: Vec<&str> = status.as_object().unwrap().keys().map(String::as_str).collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            ["finished_at_ms", "id", "progress", "spec", "state", "submitted_at_ms"],
+            "the result and log stay off the status payload"
+        );
+    }
+
+    #[test]
+    fn finished_tasks_are_capped_and_evicted_ids_answer_404() {
+        let cap = relengine::status::MAX_TERMINAL_TASKS;
+        let e = engine();
+        let spec = r#"{"dataset": "fixture-fakenews-pl",
+            "params": {"algorithm": "page_rank"}, "top_k": 1}"#;
+        let ids: Vec<String> = (0..cap + 16)
+            .map(|_| {
+                json(&route(&post("/api/tasks", spec), &e))["task_id"].as_str().unwrap().into()
+            })
+            .collect();
+        // One worker runs tasks in submission order, so the last one
+        // finishing means every task has.
+        e.wait(&TaskId(ids[cap + 15].clone()), std::time::Duration::from_secs(60)).unwrap();
+        assert!(e.board().len() <= cap, "{} tasks retained", e.board().len());
+        let total = json(&route(&get("/api/metrics"), &e))["total"].as_u64().unwrap();
+        assert!(total as usize <= cap, "/api/metrics total {total}");
+        for path in ["", "/result", "/log"] {
+            let r = route(&get(&format!("/api/tasks/{}{path}", ids[0])), &e);
+            assert_eq!(r.status, StatusCode::NotFound, "evicted task{path}");
+        }
+        let r = route(&get(&format!("/api/tasks/{}/result", ids[cap + 15])), &e);
+        assert_eq!(r.status, StatusCode::Ok);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Fig. 1 / Fig. 2 walkthrough: build a query set interactively (add
 //! rows, delete a row, inspect the permalink), submit it to the scheduler,
-//! poll the status board while workers run, then fetch results and logs
-//! from the datastore — the full five-step lifecycle of §III.
+//! poll the status board while workers run, then read each task's result
+//! and log from the board — the full five-step lifecycle of §III.
 //!
 //! ```sh
 //! cargo run --example task_builder
@@ -47,8 +47,7 @@ fn main() {
     println!("{}", query_set.display_table());
 
     // ---- step 2: submit to the Scheduler --------------------------------
-    let store = std::sync::Arc::new(MemoryStore::new());
-    let engine = Scheduler::builder().workers(2).datastore(store).build();
+    let engine = Scheduler::builder().workers(2).build();
     let ids = engine.submit_query_set(&query_set);
     println!("submitted {} tasks", ids.len());
 
@@ -62,20 +61,20 @@ fn main() {
         std::thread::sleep(Duration::from_millis(25));
     }
 
-    // ---- steps 4–5: results and logs from the datastore -----------------
+    // ---- steps 4–5: results and logs from the status board ---------------
     for id in &ids {
         let record = engine.board().get(id).expect("tracked task");
         println!("\ntask {id} [{}]", record.spec.display_row());
         match record.state {
             TaskState::Completed => {
-                let result = engine.store().get_result(id).unwrap().expect("stored result");
+                let result = engine.board().result(id).flatten().expect("completed result");
                 for (rank, (label, score)) in result.top.iter().enumerate() {
                     println!("  {:>2}. {label:<32} {score:.6}", rank + 1);
                 }
-                let log = engine.store().get_log(id).unwrap();
+                let log = engine.board().log(id).expect("tracked task");
                 println!("  log: {}", log.lines().last().unwrap_or(""));
             }
-            state => println!("  unexpected terminal state: {state:?}"),
+            state => panic!("task {id} ended {state:?}"),
         }
     }
 }
